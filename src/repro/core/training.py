@@ -25,6 +25,7 @@ from repro.engine.query import Query
 from repro.engine.table import PartitionedTable
 from repro.errors import ConfigError
 from repro.ml.gbrt import GBRTRegressor
+from repro.obs import trace_span
 from repro.stats.features import FeatureBuilder
 from repro.stats.normalization import Normalizer
 
@@ -109,26 +110,26 @@ def compute_training_data(
     feature selection). ``batched=False`` keeps the per-partition
     ``execute_on_partition`` loop as the reference oracle. The
     normalized matrices are filled in by :func:`train_picker_model` once
-    the normalizer has been fitted.
+    the normalizer has been fitted. The two stages are traced as
+    ``train.features`` and ``train.answers``.
     """
-    matrix = (
-        WorkloadExecutor.for_table(ptable).answer_matrix(queries)
-        if batched
-        else None
-    )
-    features: list[np.ndarray] = []
+    with trace_span("train.features", queries=len(queries)):
+        features = [
+            feature_builder.features_for_query(query).matrix for query in queries
+        ]
     answers: list[list[ComponentAnswer]] = []
     contributions: list[np.ndarray] = []
-    for qid, query in enumerate(queries):
-        query_features = feature_builder.features_for_query(query)
-        features.append(query_features.matrix)
-        if matrix is not None:
-            answers.append(matrix.answers(qid))
-            contributions.append(matrix.contributions(qid))
+    with trace_span("train.answers", queries=len(queries)):
+        if batched:
+            matrix = WorkloadExecutor.for_table(ptable).answer_matrix(queries)
+            for qid in range(len(queries)):
+                answers.append(matrix.answers(qid))
+                contributions.append(matrix.contributions(qid))
         else:
-            partition_answers = [execute_on_partition(p, query) for p in ptable]
-            answers.append(partition_answers)
-            contributions.append(partition_contributions(partition_answers))
+            for query in queries:
+                partition_answers = [execute_on_partition(p, query) for p in ptable]
+                answers.append(partition_answers)
+                contributions.append(partition_contributions(partition_answers))
     return TrainingData(
         queries=list(queries),
         features=features,
@@ -149,6 +150,8 @@ def train_picker_model(
 
     ``batched`` selects the answer-computation path (fused batch executor
     vs the scalar reference oracle); both produce bit-identical models.
+    Each regressor's fit is traced as one ``train.gbrt`` span, tagged
+    with its ``model`` index and the number of ``trees`` fitted.
     """
     config = config or TrainingConfig()
     if not train_queries:
@@ -177,7 +180,10 @@ def train_picker_model(
             colsample=config.gbrt_colsample,
             seed=config.seed + model_index,
         )
-        regressor.fit(stacked_x, labels)
+        with trace_span("train.gbrt", model=model_index) as span:
+            regressor.fit(stacked_x, labels)
+            if span is not None:
+                span.tags["trees"] = regressor.num_trees_fitted
         regressors.append(regressor)
 
     model = PickerModel(

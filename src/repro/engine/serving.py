@@ -181,15 +181,17 @@ class ServingStats:
 
     ``queue_depth`` is the one live gauge: requests currently admitted
     but not yet dequeued by the worker (``queue_peak`` is its high-water
-    mark). ``shed`` counts requests rejected at admission by the
-    bounded queue; ``degraded`` counts requests answered below their
-    resolved budget by the degradation controller; ``deadline_misses``
-    counts requests that expired before an answer (at admission, at
-    pick time, or in a blocking ``query`` wait); ``cancelled_skips``
-    counts futures the client cancelled before the worker could
-    complete them; ``worker_restarts`` counts supervisor restarts after
-    a worker crash; ``sweep_retries`` counts transient sweep failures
-    that were retried.
+    mark). Admission control and the degrade controller read it, so it
+    is a plain attribute, which a disabled registry cannot freeze; the
+    ``serving.queue_depth`` gauge mirrors it. ``shed`` counts requests
+    rejected at admission by the bounded queue; ``degraded`` counts
+    requests answered below their resolved budget by the degradation
+    controller; ``deadline_misses`` counts requests that expired before
+    an answer (at admission, at pick time, or in a blocking ``query``
+    wait); ``cancelled_skips`` counts futures the client cancelled
+    before the worker could complete them; ``worker_restarts`` counts
+    supervisor restarts after a worker crash; ``sweep_retries`` counts
+    transient sweep failures that were retried.
     """
 
     _COUNTER_NAMES = (
@@ -217,6 +219,7 @@ class ServingStats:
             name: self.registry.gauge(f"serving.{name}")
             for name in self._GAUGE_NAMES
         }
+        self.queue_depth = 0
 
     def __getattr__(self, name):
         # Legacy integer views: front.stats.shed et al. read the
@@ -244,12 +247,15 @@ class ServingStats:
     def count(self, name: str, n: int = 1) -> None:
         self._counters[name].inc(n)
 
+    # Both run under the front end's ``_lifecycle`` lock.
     def note_enqueue(self) -> None:
-        depth = self._gauges["queue_depth"].add(1)
-        self._gauges["queue_peak"].set_max(depth)
+        self.queue_depth += 1
+        self._gauges["queue_depth"].set(self.queue_depth)
+        self._gauges["queue_peak"].set_max(self.queue_depth)
 
     def note_dequeue(self) -> None:
-        self._gauges["queue_depth"].add(-1)
+        self.queue_depth -= 1
+        self._gauges["queue_depth"].set(self.queue_depth)
 
     def note_batch(self, size: int) -> None:
         self._counters["batches"].inc()

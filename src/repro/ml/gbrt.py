@@ -2,9 +2,14 @@
 
 Squared-loss boosting with shrinkage over histogram trees
 (:mod:`repro.ml.tree`). Feature values are quantile-binned once at fit
-time; the same bin edges discretize prediction inputs. Column subsampling
-decorrelates trees and keeps per-tree split search cheap at the feature
-dimensions PS3 produces (hundreds).
+time into a column-major :class:`~repro.ml.tree.BinnedMatrix`, which
+every tree of the fit shares; the same bin edges discretize prediction
+inputs. Each tree grows level by level, and its step on the training
+rows is read off the leaf assignment the build already made, so training
+never re-evaluates a tree. Column subsampling decorrelates trees and
+keeps per-tree split search cheap at the feature dimensions PS3 produces
+(hundreds); features that are constant over the training rows are
+dropped from each tree's sample, since they can never split.
 
 ``feature_importances()`` reports normalized per-feature split *gain*, the
 metric paper Figure 5 uses ("the improvement in accuracy brought by a
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigError, NotFittedError
-from repro.ml.tree import RegressionTree, TreeBuilder
+from repro.ml.tree import BinnedMatrix, RegressionTree, TreeBuilder
 
 
 def _quantile_bin_edges(values: np.ndarray, num_bins: int) -> np.ndarray:
@@ -86,7 +91,7 @@ class GBRTRegressor:
         self._bin_edges = [
             _quantile_bin_edges(X[:, j], self.num_bins) for j in range(d)
         ]
-        binned = self._bin(X)
+        matrix = BinnedMatrix(self._bin(X).T, self.num_bins)
         rng = np.random.default_rng(self.seed)
         builder = TreeBuilder(
             max_depth=self.max_depth,
@@ -105,8 +110,8 @@ class GBRTRegressor:
                 feature_ids = np.sort(rng.choice(d, size=n_sub, replace=False))
             else:
                 feature_ids = np.arange(d)
-            tree = builder.build(binned, gradients, feature_ids, self.num_bins)
-            step = tree.predict_binned(binned)
+            tree, leaves = builder.grow(matrix, gradients, feature_ids)
+            step = tree.value[leaves]
             if not np.any(step):
                 break  # no split improved the loss; boosting has converged
             prediction += self.learning_rate * step

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import PS3
 from repro.core.training import (
     TrainingConfig,
     compute_training_data,
@@ -10,6 +11,7 @@ from repro.core.training import (
     train_picker_model,
 )
 from repro.errors import ConfigError
+from repro.obs import get_registry, snapshot_delta
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +94,51 @@ class TestConfigValidation:
     def test_bad_top_fraction(self):
         with pytest.raises(ConfigError):
             TrainingConfig(top_fraction=0.0)
+
+
+class _SpanRecorder:
+    """Profiler that keeps every closed span's stage and tags."""
+
+    def __init__(self) -> None:
+        self.spans = []
+
+    def on_span_start(self, span) -> None:
+        pass
+
+    def on_span_end(self, span) -> None:
+        self.spans.append((span.stage, dict(span.tags)))
+
+
+class TestTrainingSpans:
+    def test_fit_emits_training_spans(
+        self, tpch_ptable, tpch_workload, tpch_queries
+    ):
+        train, __ = tpch_queries
+        system = PS3(tpch_ptable, tpch_workload)
+        recorder = _SpanRecorder()
+        registry = get_registry()
+        before = system.metrics()
+        registry.add_profiler(recorder)
+        try:
+            system.fit(train[:6])
+        finally:
+            registry.remove_profiler(recorder)
+        delta = snapshot_delta(before, system.metrics())
+        num_models = TrainingConfig().num_models
+        assert delta["counters"]["train.features.calls"] == 1
+        assert delta["counters"]["train.answers.calls"] == 1
+        assert delta["counters"]["train.gbrt.calls"] == num_models
+        assert delta["histograms"]["train.gbrt.wall_seconds"]["count"] == (
+            num_models
+        )
+        gbrt = [tags for stage, tags in recorder.spans if stage == "train.gbrt"]
+        assert [tags["model"] for tags in gbrt] == list(range(num_models))
+        assert [tags["trees"] for tags in gbrt] == [
+            r.num_trees_fitted for r in system.model.regressors
+        ]
+        queries = {
+            stage: tags["queries"]
+            for stage, tags in recorder.spans
+            if stage in ("train.features", "train.answers")
+        }
+        assert queries == {"train.features": 6, "train.answers": 6}

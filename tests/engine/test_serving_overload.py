@@ -20,6 +20,7 @@ contract end to end:
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -33,6 +34,7 @@ from repro.errors import (
     ServingOverloadError,
     ServingTimeoutError,
 )
+from repro.obs import MetricsRegistry
 from repro.workload import QueryGenerator
 
 
@@ -137,6 +139,103 @@ class TestBoundedQueue:
             front.stop()
         assert sheds == 0
         assert len(futures) == 40
+
+
+class _HeldWorker(ServingFaults):
+    """Holds the worker inside its first batch until released."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def on_batch(self) -> None:
+        super().on_batch()
+        self.entered.set()
+        self.release.wait(timeout=60)
+
+
+class TestDisabledRegistry:
+    """Admission control must not depend on metrics being recorded.
+
+    A disabled registry turns every gauge update into a no-op, so the
+    queue depth that admission and degrade read cannot live in a gauge.
+    """
+
+    def _front(self, system, faults, **config):
+        config = ServingConfig(max_batch_size=1, max_hold_seconds=0.0, **config)
+        registry = MetricsRegistry(enabled=False)
+        return ServingFrontEnd(
+            system, config, faults=faults, registry=registry
+        ).start()
+
+    def test_bounded_queue_sheds_while_worker_is_held(self, served_system):
+        system, test = served_system
+        faults = _HeldWorker()
+        front = self._front(
+            system, faults, max_queue_depth=1, shed_policy="reject"
+        )
+        try:
+            held = front.submit(test[0], budget_fraction=0.75)
+            assert faults.entered.wait(timeout=60)
+            queued = front.submit(test[1], budget_fraction=0.75)
+            assert front.stats.queue_depth == 1
+            with pytest.raises(ServingOverloadError):
+                front.submit(test[2], budget_fraction=0.75)
+            faults.release.set()
+            for future in (held, queued):
+                _assert_matches_sequential(system, future.result(timeout=60))
+            assert front.stats.queue_depth == 0
+        finally:
+            faults.release.set()
+            front.stop()
+
+    def test_degrade_engages_under_pressure(self, served_system):
+        system, test = served_system
+        faults = _HeldWorker()
+        front = self._front(
+            system,
+            faults,
+            max_queue_depth=2,
+            shed_policy="degrade",
+            min_degraded_fraction=0.25,
+        )
+        try:
+            futures = [front.submit(test[0], budget_fraction=0.75)]
+            assert faults.entered.wait(timeout=60)
+            futures += [
+                front.submit(query, budget_fraction=0.75) for query in test[1:3]
+            ]
+            faults.release.set()
+            answers = [future.result(timeout=60) for future in futures]
+        finally:
+            faults.release.set()
+            front.stop()
+        # The held batch samples pressure with both later requests
+        # queued: depth 2 of 2.
+        assert answers[0].degraded
+        assert answers[0].effective_budget < answers[0].budget
+        for answer in answers:
+            _assert_matches_sequential(system, answer)
+
+    def test_depth_returns_to_zero_under_contention(self, served_system):
+        system, test = served_system
+        front = self._front(
+            system, _throttled(0.001), max_queue_depth=4, shed_policy="reject"
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            futures, sheds = _flood(front, test, clients=8, per_client=10)
+            for future in futures:
+                future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            front.stop()
+        assert sheds > 0
+        assert len(futures) + sheds == 80
+        # A lost increment or decrement would leave a phantom depth.
+        assert front.stats.queue_depth == 0
 
 
 class TestDegradePolicy:
